@@ -5,8 +5,8 @@
 //
 //	deeppower -app xapian -method deeppower -episodes 10 -duration 120
 //	deeppower -app moses -method retail
-//	deeppower -app xapian -method deeppower -save policy.json
-//	deeppower -app xapian -policy policy.json
+//	deeppower -app xapian -method deeppower -save policy.ckpt
+//	deeppower -app xapian -policy policy.ckpt
 //	deeppower -compare -app xapian
 package main
 
@@ -32,8 +32,8 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker/core count override (0 = paper value)")
 		peak     = flag.Float64("peak", 0, "peak load fraction override (0 = per-app default)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		save     = flag.String("save", "", "after training, save the actor network to this file")
-		policy   = flag.String("policy", "", "load a trained actor network instead of training")
+		save     = flag.String("save", "", "after training, save the actor network to this file (binary checkpoint)")
+		policy   = flag.String("policy", "", "load a trained actor network (binary checkpoint) instead of training")
 		compare  = flag.Bool("compare", false, "run all four methods and print a comparison")
 	)
 	flag.Parse()

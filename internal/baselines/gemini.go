@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/nn"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -30,6 +31,10 @@ type Gemini struct {
 
 	// predicted holds each core's stage-1 prediction.
 	predicted []sim.Time
+	// levels is the server's ladder, enumerated once in Init.
+	levels []cpu.Freq
+	// x is rawPredict's standardized-feature buffer.
+	x []float64
 }
 
 // GeminiTrainConfig controls predictor fitting.
@@ -40,9 +45,20 @@ type GeminiTrainConfig struct {
 	Seed   int64
 }
 
+// geminiBatch is the predictor's Adam minibatch size.
+const geminiBatch = 32
+
 // FitGemini trains the NN predictor on profiling samples and returns the
 // policy.
 func FitGemini(samples []ServiceSample, cfg GeminiTrainConfig) (*Gemini, error) {
+	return fitGemini(samples, cfg, trainGemini)
+}
+
+// fitGemini is FitGemini with the training epochs supplied by train, which
+// receives the standardized inputs as a row-major [n×d] matrix X and the
+// scaled targets y.
+func fitGemini(samples []ServiceSample, cfg GeminiTrainConfig,
+	train func(m *nn.MLP, opt *nn.Adam, X, y []float64, epochs int)) (*Gemini, error) {
 	if len(samples) < 10 {
 		return nil, fmt.Errorf("baselines: %d samples too few to fit Gemini", len(samples))
 	}
@@ -87,27 +103,22 @@ func FitGemini(samples []ServiceSample, cfg GeminiTrainConfig) (*Gemini, error) 
 		}
 	}
 
+	// Standardize every sample once into a row-major [n×d] matrix.
+	X := make([]float64, len(samples)*d)
+	y := make([]float64, len(samples))
+	for b, s := range samples {
+		row := X[b*d : (b+1)*d]
+		for i, f := range s.Features {
+			row[i] = (f - mean[i]) / std[i]
+		}
+		y[b] = s.Service / yScale
+	}
+
 	rng := sim.NewRNG(cfg.Seed).Stream("gemini-train")
 	sizes := append([]int{d}, cfg.Hidden...)
 	sizes = append(sizes, 1)
 	m := nn.NewMLP(sizes, nn.ReLU, nn.Identity, rng)
-	opt := nn.NewAdam(m.Layers, cfg.LR)
-	grad := make([]float64, 1)
-	x := make([]float64, d)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for bi, s := range samples {
-			for i, f := range s.Features {
-				x[i] = (f - mean[i]) / std[i]
-			}
-			pred := m.Forward(x)
-			nn.MSE(pred, []float64{s.Service / yScale}, grad)
-			m.Backward(grad)
-			if bi%32 == 31 {
-				opt.Step()
-			}
-		}
-		opt.Step()
-	}
+	train(m, nn.NewAdam(m.Layers, cfg.LR), X, y, cfg.Epochs)
 
 	// Fold the target scale into the output layer so Predict returns
 	// seconds directly.
@@ -121,6 +132,7 @@ func FitGemini(samples []ServiceSample, cfg GeminiTrainConfig) (*Gemini, error) 
 		model:         m,
 		featMean:      mean,
 		featStd:       std,
+		x:             make([]float64, d),
 		Margin:        0.85,
 		BoostHeadroom: 0.15,
 	}
@@ -134,12 +146,37 @@ func FitGemini(samples []ServiceSample, cfg GeminiTrainConfig) (*Gemini, error) 
 	return g, nil
 }
 
+// trainGemini runs each 32-sample minibatch through the batched kernels,
+// which are bit-identical to per-sample Forward/Backward. Adam steps after
+// every full batch and once more at the end of each epoch, so a trailing
+// partial batch is folded into the epoch-end step (and a sample count that
+// is a multiple of the batch ends each epoch with a zero-gradient step).
+func trainGemini(m *nn.MLP, opt *nn.Adam, X, y []float64, epochs int) {
+	n, d := len(y), m.InDim()
+	grad := make([]float64, geminiBatch)
+	for epoch := 0; epoch < epochs; epoch++ {
+		for lo := 0; lo < n; lo += geminiBatch {
+			k := min(geminiBatch, n-lo)
+			pred := m.ForwardBatch(X[lo*d:(lo+k)*d], k)
+			for b := 0; b < k; b++ {
+				nn.MSE(pred[b:b+1], y[lo+b:lo+b+1], grad[b:b+1])
+			}
+			m.BackwardBatch(grad[:k], k)
+			if k == geminiBatch {
+				opt.Step()
+			}
+		}
+		opt.Step()
+	}
+}
+
 // Name implements server.Policy.
 func (p *Gemini) Name() string { return "gemini" }
 
 // Init implements server.Policy.
 func (p *Gemini) Init(c server.Control) {
 	p.BasePolicy.Init(c)
+	p.levels = c.Ladder().Levels()
 	p.predicted = make([]sim.Time, c.NumCores())
 	for i := 0; i < c.NumCores(); i++ {
 		c.SetFreq(i, c.Ladder().Min)
@@ -148,7 +185,7 @@ func (p *Gemini) Init(c server.Control) {
 
 // rawPredict evaluates the network on standardized features (seconds).
 func (p *Gemini) rawPredict(features []float64) float64 {
-	x := make([]float64, len(features))
+	x := p.x[:len(features)]
 	for i, f := range features {
 		x[i] = (f - p.featMean[i]) / p.featStd[i]
 	}
@@ -171,7 +208,7 @@ func (p *Gemini) OnDispatch(r *server.Request, core int) {
 	pred := p.PredictRef(r.Work.Features)
 	p.predicted[core] = pred
 	slack := sim.Time(float64(r.SLARemaining(c.Now(), c.SLA())) * p.Margin)
-	for _, f := range c.Ladder().Levels() {
+	for _, f := range p.levels {
 		if scaledService(c, pred, f) <= slack {
 			c.SetFreq(core, f)
 			return

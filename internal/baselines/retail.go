@@ -10,9 +10,6 @@ import (
 	"github.com/deeppower/deeppower/internal/stats"
 )
 
-// cpuFreq aliases cpu.Freq for the shared scaling helper.
-type cpuFreq = cpu.Freq
-
 // Retail reimplements ReTail (Chen et al., HPCA 2022) as this paper
 // describes it (§2.2, §6): a linear-regression service-time predictor plus a
 // per-request frequency selector that "selects the minimum frequency at
@@ -28,6 +25,10 @@ type Retail struct {
 	// percentile of the training-set underprediction residuals, the
 	// error-calibration real prediction-based schedulers must do.
 	Pad sim.Time
+
+	// levels is the server's ladder, enumerated once in Init so the
+	// per-request decision allocates nothing.
+	levels []cpu.Freq
 }
 
 // NewRetail builds the policy around a fitted predictor.
@@ -69,6 +70,7 @@ func (p *Retail) Name() string { return "retail" }
 // Init implements server.Policy: idle cores start at the floor frequency.
 func (p *Retail) Init(c server.Control) {
 	p.BasePolicy.Init(c)
+	p.levels = c.Ladder().Levels()
 	for i := 0; i < c.NumCores(); i++ {
 		c.SetFreq(i, c.Ladder().Min)
 	}
@@ -87,7 +89,7 @@ func (p *Retail) PredictRef(features []float64) sim.Time {
 // scaledService estimates wall time at frequency f assuming service scales
 // linearly with frequency — the model real schedulers use, since the true
 // memory-bound fraction of an application is unobservable to them.
-func scaledService(c server.Control, ref sim.Time, f cpuFreq) sim.Time {
+func scaledService(c server.Control, ref sim.Time, f cpu.Freq) sim.Time {
 	return sim.Time(float64(ref) * float64(c.RefFreq()) / float64(f))
 }
 
@@ -117,8 +119,7 @@ func (p *Retail) OnDispatch(r *server.Request, core int) {
 	minQueueSlack = sim.Time(float64(minQueueSlack) * p.Safety)
 	workers := sim.Time(c.NumCores())
 
-	ladder := c.Ladder()
-	for _, f := range ladder.Levels() {
+	for _, f := range p.levels {
 		// (a) This request finishes inside its own slack at f.
 		if scaledService(c, ownPred, f) > ownSlack {
 			continue

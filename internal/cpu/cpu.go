@@ -65,7 +65,8 @@ func (l Ladder) Validate() error {
 }
 
 // Levels enumerates the ladder's non-turbo operating points ascending,
-// followed by the turbo frequency as the final element.
+// followed by the turbo frequency as the final element. It returns a new
+// slice on each call, so hot paths must store the result once.
 func (l Ladder) Levels() []Freq {
 	var out []Freq
 	for f := l.Min; f <= l.Max+l.Step/1000; f += l.Step {
@@ -76,9 +77,6 @@ func (l Ladder) Levels() []Freq {
 	}
 	return out
 }
-
-// NumLevels reports how many operating points Levels returns.
-func (l Ladder) NumLevels() int { return len(l.Levels()) }
 
 // Quantize clamps f into [Min, Max] and snaps it to the nearest grid point.
 // It never returns Turbo; use the Turbo field explicitly to engage turbo.

@@ -20,9 +20,6 @@ func TestDefaultLadderValid(t *testing.T) {
 	if levels[0] != 0.8 || levels[len(levels)-2] != 2.1 || levels[len(levels)-1] != 2.8 {
 		t.Errorf("levels = %v", levels)
 	}
-	if l.NumLevels() != len(levels) {
-		t.Error("NumLevels mismatch")
-	}
 }
 
 func TestLadderValidate(t *testing.T) {

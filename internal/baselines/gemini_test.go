@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/nn"
+	"github.com/deeppower/deeppower/internal/nn/nntest"
 )
 
 // trainGeminiPerSample is the per-sample training loop FitGemini ran before
@@ -42,22 +43,24 @@ func TestFitGeminiBatchedBitIdentity(t *testing.T) {
 	for _, n := range []int{4000, 1000, 45} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			cfg := GeminiTrainConfig{Seed: 3}
-			got, err := FitGemini(all[:n], cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, err := fitGemini(all[:n], cfg, trainGeminiPerSample)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Pad != want.Pad {
-				t.Errorf("Pad %v, per-sample reference %v", got.Pad, want.Pad)
-			}
-			for li, l := range got.model.Layers {
-				ref := want.model.Layers[li]
-				bitEqual(t, fmt.Sprintf("layer %d W", li), l.W, ref.W)
-				bitEqual(t, fmt.Sprintf("layer %d B", li), l.B, ref.B)
-			}
+			nntest.EachKernelPath(t, func(t *testing.T) {
+				got, err := FitGemini(all[:n], cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Pad != want.Pad {
+					t.Errorf("Pad %v, per-sample reference %v", got.Pad, want.Pad)
+				}
+				for li, l := range got.model.Layers {
+					ref := want.model.Layers[li]
+					bitEqual(t, fmt.Sprintf("layer %d W", li), l.W, ref.W)
+					bitEqual(t, fmt.Sprintf("layer %d B", li), l.B, ref.B)
+				}
+			})
 		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/deeppower/deeppower/internal/nn/nntest"
 )
 
 // updateGolden regenerates the committed golden artifacts:
@@ -38,40 +40,42 @@ func TestGoldenArtifacts(t *testing.T) {
 	for _, name := range goldenHarnesses {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			h, err := HarnessByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arts, err := h.Run(context.Background(), scale, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(arts) == 0 {
-				t.Fatal("harness produced no artifacts")
-			}
-			dir := filepath.Join("testdata", "golden", name)
-			if *updateGolden {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
+			nntest.EachKernelPath(t, func(t *testing.T) {
+				h, err := HarnessByName(name)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			for _, a := range arts {
-				path := filepath.Join(dir, a.Name+"."+a.Ext+".golden")
+				arts, err := h.Run(context.Background(), scale, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(arts) == 0 {
+					t.Fatal("harness produced no artifacts")
+				}
+				dir := filepath.Join("testdata", "golden", name)
 				if *updateGolden {
-					if err := os.WriteFile(path, []byte(a.Data), 0o644); err != nil {
+					if err := os.MkdirAll(dir, 0o755); err != nil {
 						t.Fatal(err)
 					}
-					continue
 				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden (run with -update-golden): %v", err)
+				for _, a := range arts {
+					path := filepath.Join(dir, a.Name+"."+a.Ext+".golden")
+					if *updateGolden {
+						if err := os.WriteFile(path, []byte(a.Data), 0o644); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("missing golden (run with -update-golden): %v", err)
+					}
+					if a.Data != string(want) {
+						t.Errorf("%s.%s drifted from golden:\n%s",
+							a.Name, a.Ext, firstDiff(a.Data, string(want)))
+					}
 				}
-				if a.Data != string(want) {
-					t.Errorf("%s.%s drifted from golden:\n%s",
-						a.Name, a.Ext, firstDiff(a.Data, string(want)))
-				}
-			}
+			})
 		})
 	}
 }

@@ -28,6 +28,13 @@ func encodeDense(e *ckpt.Enc, d *Dense) {
 	e.F64s(d.B)
 }
 
+// weightsFit reports whether nw weights and nb biases are exactly an in→out
+// layer's (in, out > 0). It divides rather than multiplies: a crafted in·out
+// can wrap around to the weight count.
+func weightsFit(in, out, nw, nb int) bool {
+	return nw%in == 0 && nw/in == out && nb == out
+}
+
 // decodeDense reads one layer, validating shape, activation code, weight
 // array lengths, and finiteness. wantIn, when positive, pins the input width
 // so layer chains cannot be mis-wired by a corrupt shape header.
@@ -50,7 +57,7 @@ func decodeDense(dec *ckpt.Dec, wantIn int) (*Dense, error) {
 	if !validActivation(act) {
 		return nil, fmt.Errorf("%w: unknown activation code %d", ckpt.ErrMalformed, uint8(act))
 	}
-	if len(w) != in*out || len(b) != out {
+	if !weightsFit(in, out, len(w), len(b)) {
 		return nil, fmt.Errorf("%w: layer %d→%d carries %d weights and %d biases",
 			ckpt.ErrMalformed, in, out, len(w), len(b))
 	}

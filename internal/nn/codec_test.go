@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -113,6 +114,19 @@ func TestDecodeNetworkRejectsGarbage(t *testing.T) {
 			t.Fatalf("got %v", err)
 		}
 	})
+	t.Run("wrapping shape", func(t *testing.T) {
+		// in·out = 2^64 wraps to 0, which matched the empty weight array
+		// of a layer with in = 2^62 and out = 4 (2^30 and 2^32 on 32 bits).
+		var e ckpt.Enc
+		e.Int(1 << (strconv.IntSize - 2))
+		e.Int(4)
+		e.U8(uint8(ReLU))
+		e.F64s(nil)
+		e.F64s(make([]float64, 4))
+		if _, err := DecodeDense(ckpt.NewDec(e.Bytes()), 0); !errors.Is(err, ckpt.ErrMalformed) {
+			t.Fatalf("got %v", err)
+		}
+	})
 	t.Run("empty input", func(t *testing.T) {
 		if _, err := DecodeNetwork(ckpt.NewDec(nil)); err == nil {
 			t.Fatal("accepted empty input")
@@ -208,6 +222,8 @@ func TestJSONLoadersHardened(t *testing.T) {
 		`{"layers": [{"in": 0, "out": 1, "w": [], "b": [0]}]}`,
 		`{"layers": [{"in": 2, "out": 1, "act": 99, "w": [1,2], "b": [0]}]}`,
 		`{"layers": [{"in": 2, "out": 1, "w": [1], "b": [0]}]}`,
+		// in·out = 2^64 wraps to 0, the length of the empty weight array.
+		`{"layers": [{"in": 4611686018427387904, "out": 4, "w": [], "b": [0,0,0,0]}]}`,
 		// Broken chain: 2→1 followed by a layer expecting 3 inputs.
 		`{"layers": [{"in": 2, "out": 1, "w": [1,2], "b": [0]}, {"in": 3, "out": 1, "w": [1,2,3], "b": [0]}]}`,
 		`{"heads": []}`,

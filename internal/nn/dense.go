@@ -97,6 +97,9 @@ type Dense struct {
 	// most recent ForwardBatch. Grown on demand, then reused.
 	bx, by, bdx []float64
 	bn          int
+
+	// GEMM-path scratch: Wᵀ as [In×Out] and δ as [batch×Out].
+	wt, bdelta []float64
 }
 
 // NewDense returns a layer with Xavier/Glorot-uniform initialized weights.
@@ -164,11 +167,6 @@ func (d *Dense) Backward(dy []float64) []float64 {
 	return dx
 }
 
-// blockRows is the historical batch-tile height; the bit-identity tests
-// still probe batch sizes around it to catch edge effects at tile
-// boundaries.
-const blockRows = 8
-
 // ensureBatch grows the batched caches to hold n rows.
 func (d *Dense) ensureBatch(n int) {
 	if cap(d.bx) < n*d.In {
@@ -177,10 +175,15 @@ func (d *Dense) ensureBatch(n int) {
 	}
 	if cap(d.by) < n*d.Out {
 		d.by = make([]float64, n*d.Out)
+		d.bdelta = make([]float64, n*d.Out)
+	}
+	if d.wt == nil {
+		d.wt = make([]float64, d.In*d.Out)
 	}
 	d.bx = d.bx[:n*d.In]
 	d.by = d.by[:n*d.Out]
 	d.bdx = d.bdx[:n*d.In]
+	d.bdelta = d.bdelta[:n*d.Out]
 	d.bn = n
 }
 
@@ -188,18 +191,21 @@ func (d *Dense) ensureBatch(n int) {
 // caches both sides for BackwardBatch. The returned [n×Out] slice is a
 // layer-owned buffer reused between calls.
 //
-// The kernel computes four output units at once per sample: four
-// independent accumulator chains hide the floating-point add latency that
-// serializes a single dot product, and each input element is loaded once
-// for all four units. Every accumulator still sums its row in the exact
-// index order of Forward (seeded from the bias), so a ForwardBatch over n
-// inputs is bit-identical to n Forward calls.
+// With AVX2 the kernel is gemm (forwardGEMM); otherwise it computes four
+// output units at once per sample, four independent accumulator chains
+// sharing each input load. Either way every output sums its row in the
+// exact index order of Forward (seeded from the bias), so a ForwardBatch
+// over n inputs is bit-identical to n Forward calls.
 func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	if n <= 0 || len(x) != n*d.In {
 		panic(fmt.Sprintf("nn: ForwardBatch input %d, want %d rows × %d", len(x), n, d.In))
 	}
 	d.ensureBatch(n)
 	copy(d.bx, x)
+	if useGEMM {
+		d.forwardGEMM(n)
+		return d.by
+	}
 	in, out := d.In, d.Out
 	for b := 0; b < n; b++ {
 		xrow := d.bx[b*in : (b+1)*in : (b+1)*in]
@@ -241,13 +247,17 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 // Accumulation order is preserved exactly: each gradient element receives
 // its per-sample contributions in ascending sample order, and each dx
 // element sums over output units in ascending order — matching n sequential
-// Backward calls bit-for-bit.
+// Backward calls bit-for-bit. With AVX2 the kernel is gemm (backwardGEMM).
 func (d *Dense) BackwardBatch(dy []float64, n int) []float64 {
 	if n != d.bn {
 		panic(fmt.Sprintf("nn: BackwardBatch rows %d, last ForwardBatch had %d", n, d.bn))
 	}
 	if len(dy) != n*d.Out {
 		panic(fmt.Sprintf("nn: BackwardBatch gradient %d, want %d rows × %d", len(dy), n, d.Out))
+	}
+	if useGEMM {
+		d.backwardGEMM(dy, n)
+		return d.bdx
 	}
 	bdx := d.bdx
 	for i := range bdx {

@@ -162,7 +162,7 @@ func restoreLayer(ls layerSnapshot, wantIn int) (*Dense, error) {
 	if !validActivation(ls.Act) {
 		return nil, fmt.Errorf("nn: unknown activation code %d in snapshot", int(ls.Act))
 	}
-	if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
+	if !weightsFit(ls.In, ls.Out, len(ls.W), len(ls.B)) {
 		return nil, fmt.Errorf("nn: layer %d→%d carries %d weights and %d biases",
 			ls.In, ls.Out, len(ls.W), len(ls.B))
 	}

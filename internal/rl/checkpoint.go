@@ -128,6 +128,10 @@ func (rp *Replay) Encode(e *ckpt.Enc) {
 	}
 }
 
+// minTransitionBytes is the smallest encoding of one transition: three
+// slice length prefixes, the reward and the done flag.
+const minTransitionBytes = 3*4 + 8 + 1
+
 // DecodeReplay reads a pool written by Replay.Encode, rebuilding the sampler
 // RNG mid-stream so subsequent minibatch draws match the original run.
 func DecodeReplay(dec *ckpt.Dec) (*Replay, error) {
@@ -144,8 +148,14 @@ func DecodeReplay(dec *ckpt.Dec) (*Replay, error) {
 		return nil, fmt.Errorf("%w: replay geometry cap=%d len=%d next=%d",
 			ckpt.ErrMalformed, capacity, n, next)
 	}
+	// Size the ring from what the payload can back, not from the declared
+	// capacity: Push bounds the ring by rp.cap and grows buf as needed.
+	if n > dec.Len()/minTransitionBytes {
+		return nil, fmt.Errorf("%w: replay of %d transitions exceeds %d remaining bytes",
+			ckpt.ErrTruncated, n, dec.Len())
+	}
 	rp := &Replay{
-		buf:  make([]Transition, 0, capacity),
+		buf:  make([]Transition, 0, n),
 		cap:  capacity,
 		next: next,
 		full: full,

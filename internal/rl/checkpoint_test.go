@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/ckpt"
@@ -349,6 +350,34 @@ func TestReplayCodecResumesSampling(t *testing.T) {
 	e.U64(0)
 	e.Int(0)
 	if _, err := DecodeReplay(ckpt.NewDec(e.Bytes())); !errors.Is(err, ckpt.ErrMalformed) {
+		t.Fatalf("got %v", err)
+	}
+
+	// A crafted capacity far beyond the payload must not size the ring.
+	const huge = 1 << (strconv.IntSize - 2)
+	e.Reset()
+	e.Int(huge)
+	e.Int(0)
+	e.Bool(false)
+	e.I64(1)
+	e.U64(0)
+	e.Int(0)
+	rp3, err := DecodeReplay(ckpt.NewDec(e.Bytes()))
+	if err != nil {
+		t.Fatalf("empty replay with a huge capacity: %v", err)
+	}
+	if rp3.Len() != 0 {
+		t.Fatalf("restored length %d, want 0", rp3.Len())
+	}
+	// So must a transition count the payload cannot hold.
+	e.Reset()
+	e.Int(huge)
+	e.Int(0)
+	e.Bool(false)
+	e.I64(1)
+	e.U64(0)
+	e.Int(huge / 2)
+	if _, err := DecodeReplay(ckpt.NewDec(e.Bytes())); !errors.Is(err, ckpt.ErrTruncated) {
 		t.Fatalf("got %v", err)
 	}
 }
